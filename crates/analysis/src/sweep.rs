@@ -12,9 +12,10 @@
 //!    generalization, [`SpeedFastSim`] for the speed-aware per-task
 //!    protocols (Algorithm 2, the \[6\] baseline) — all three count-based
 //!    with per-(node, weight class) multinomials; continuous weight
-//!    distributions are quantized via [`WeightClasses`] — and the
-//!    sequential [`Simulation`] for the deterministic protocols (diffusion,
-//!    best response),
+//!    distributions are quantized via
+//!    [`WeightClasses`](slb_workloads::WeightClasses) — and the sequential
+//!    [`Simulation`] for the deterministic protocols (diffusion, best
+//!    response),
 //! 3. fans the flattened `(cell, trial)` work items out across threads via
 //!    [`run_cell_trials`], and
 //! 4. aggregates per-cell [`Summary`] rows.
@@ -37,7 +38,7 @@ use rand::SeedableRng;
 use slb_core::engine::dynamic::{DynamicRule, DynamicSim, SpeedDynamics};
 use slb_core::engine::speed_fast::{SpeedFastRule, SpeedFastSim};
 use slb_core::engine::uniform_fast::{CountState, UniformFastSim};
-use slb_core::engine::weighted_fast::{ClassCountState, WeightedFastSim};
+use slb_core::engine::weighted_fast::WeightedFastSim;
 use slb_core::engine::{Simulation, StopCondition, StopReason};
 use slb_core::equilibrium::Threshold;
 use slb_core::model::System;
@@ -51,7 +52,7 @@ use slb_workloads::sweep::{
     placement_grid_label, speed_dyn_grid_label, speeds_grid_label, weights_grid_label, CellSpec,
     ProtocolKind, StopRule, SweepSpec,
 };
-use slb_workloads::weight_classes::WeightClasses;
+use slb_workloads::weight_classes::class_state_of;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -456,21 +457,6 @@ fn run_dynamic(sim: &mut DynamicSim, threshold: Threshold, max_rounds: u64) -> R
         nash_gap_tavg: gap_sum / max_rounds as f64,
         recovery_rounds,
     }
-}
-
-/// Collapses a built scenario's sampled per-task weights and placement
-/// into a weight-class count state for the count-based engines (lossless
-/// for finite-support weight distributions, quantized for continuous ones
-/// — the engines' documented approximation).
-pub(crate) fn class_state_of(built: &slb_workloads::BuiltScenario) -> ClassCountState {
-    let system = &built.system;
-    let task_weights: Vec<f64> = system.tasks().iter().map(|(_, w)| w).collect();
-    let task_nodes: Vec<usize> = (0..system.task_count())
-        .map(|t| built.initial.task_node(slb_core::model::TaskId(t)).index())
-        .collect();
-    let classes = WeightClasses::from_samples(&task_weights, WeightClasses::DEFAULT_MAX_CLASSES);
-    let counts = classes.node_class_counts(&task_weights, &task_nodes, system.node_count());
-    ClassCountState::new(classes.weights().to_vec(), counts)
 }
 
 /// Executes one trial of one cell. The trial seed is split into a

@@ -53,7 +53,6 @@
 //! declared constant factor", not a tight comparison.
 
 use crate::stats::{power_law_fit_ci, ExponentFit, Summary};
-use crate::sweep::class_state_of;
 use crate::tables::{fmt_value, Table};
 use crate::theory::{self, Instance, Table1Column};
 use rand::rngs::StdRng;
@@ -69,6 +68,7 @@ use slb_core::rng::{derive_seed, streams};
 use slb_workloads::scenario;
 use slb_workloads::sweep::ProtocolKind;
 use slb_workloads::validate::{Regime, RowSpec, ValidateSpec};
+use slb_workloads::weight_classes::class_state_of;
 use slb_workloads::weights::WeightDistribution;
 use std::fmt;
 use std::fmt::Write as _;

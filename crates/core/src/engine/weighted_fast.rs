@@ -49,14 +49,32 @@ pub struct ClassCountState {
 }
 
 impl ClassCountState {
-    /// Builds from per-node class counts.
+    /// Builds from per-node class counts (`per_node[node][class]`): the
+    /// rows are flattened into [`ClassCountState::from_node_major`].
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`ClassCountState::from_node_major`] does, or if any
+    /// row's length differs from the class count.
+    pub fn new(class_weights: Vec<f64>, per_node: Vec<Vec<u64>>) -> Self {
+        let k = class_weights.len();
+        let mut counts = Vec::with_capacity(per_node.len() * k);
+        for row in per_node {
+            assert_eq!(row.len(), k, "one count per class per node");
+            counts.extend_from_slice(&row);
+        }
+        Self::from_node_major(class_weights, counts)
+    }
+
+    /// Builds from flat node-major counts (`counts[node * k + class]` for
+    /// `k = class_weights.len()`), taking the vector as it is.
     ///
     /// # Panics
     ///
     /// Panics if `class_weights` is empty or contains a weight outside
-    /// `(0, 1]`, if `per_node` is empty, or if any row's length differs
-    /// from the class count.
-    pub fn new(class_weights: Vec<f64>, per_node: Vec<Vec<u64>>) -> Self {
+    /// `(0, 1]`, if `counts` is empty, or if its length is not a multiple
+    /// of the class count.
+    pub fn from_node_major(class_weights: Vec<f64>, counts: Vec<u64>) -> Self {
         assert!(!class_weights.is_empty(), "need at least one weight class");
         assert!(
             class_weights
@@ -64,18 +82,13 @@ impl ClassCountState {
                 .all(|&w| w > 0.0 && w <= 1.0 && w.is_finite()),
             "class weights must lie in (0, 1]"
         );
-        assert!(!per_node.is_empty(), "need at least one node");
+        assert!(!counts.is_empty(), "need at least one node");
         let k = class_weights.len();
-        let nodes = per_node.len();
-        let mut counts = Vec::with_capacity(nodes * k);
-        for row in per_node {
-            assert_eq!(row.len(), k, "one count per class per node");
-            counts.extend_from_slice(&row);
-        }
+        assert_eq!(counts.len() % k, 0, "one count per class per node");
         ClassCountState {
+            nodes: counts.len() / k,
             class_weights,
             counts,
-            nodes,
         }
     }
 
@@ -436,6 +449,21 @@ mod tests {
     #[should_panic(expected = "class weights must lie in (0, 1]")]
     fn bad_class_weight_rejected() {
         let _ = ClassCountState::new(vec![1.5], vec![vec![1]]);
+    }
+
+    #[test]
+    fn node_major_counts_equal_per_node_rows() {
+        let rows = ClassCountState::new(vec![0.5, 1.0], vec![vec![1, 2], vec![0, 3], vec![4, 0]]);
+        let flat = ClassCountState::from_node_major(vec![0.5, 1.0], vec![1, 2, 0, 3, 4, 0]);
+        assert_eq!(rows, flat);
+        assert_eq!(flat.nodes(), 3);
+        assert_eq!(flat.counts(1), &[0, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one count per class per node")]
+    fn node_major_counts_must_fill_whole_nodes() {
+        let _ = ClassCountState::from_node_major(vec![0.5, 1.0], vec![1, 2, 3]);
     }
 
     #[test]

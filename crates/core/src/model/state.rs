@@ -175,6 +175,38 @@ pub struct Move {
 /// node weights are recomputed from scratch to shed floating-point error.
 const REBUILD_INTERVAL: usize = 1 << 22;
 
+/// Rejects an assignment whose length is not the task count.
+fn check_len(system: &System, len: usize) -> Result<(), ModelError> {
+    if len == system.task_count() {
+        Ok(())
+    } else {
+        Err(ModelError::AssignmentLengthMismatch {
+            tasks: system.task_count(),
+            assignment: len,
+        })
+    }
+}
+
+/// Node weights and task counts of an assignment, summed in task order.
+fn aggregates(system: &System, assignment: &[u32]) -> Result<(Vec<f64>, Vec<u32>), ModelError> {
+    let n = system.node_count();
+    let mut node_weight = vec![0.0f64; n];
+    let mut node_task_count = vec![0u32; n];
+    for (task, &node) in assignment.iter().enumerate() {
+        let node = node as usize;
+        if node >= n {
+            return Err(ModelError::AssignmentOutOfRange {
+                task,
+                node,
+                nodes: n,
+            });
+        }
+        node_weight[node] += system.tasks().weight(TaskId(task));
+        node_task_count[node] += 1;
+    }
+    Ok((node_weight, node_task_count))
+}
+
 impl TaskState {
     /// Builds a state from an explicit assignment (`assignment[ℓ]` is the
     /// node of task `ℓ`).
@@ -183,31 +215,41 @@ impl TaskState {
     ///
     /// Returns [`ModelError`] on length mismatch or out-of-range nodes.
     pub fn from_assignment(system: &System, assignment: &[usize]) -> Result<Self, ModelError> {
-        if assignment.len() != system.task_count() {
-            return Err(ModelError::AssignmentLengthMismatch {
-                tasks: system.task_count(),
-                assignment: assignment.len(),
-            });
-        }
+        check_len(system, assignment.len())?;
         let n = system.node_count();
-        let mut node_weight = vec![0.0f64; n];
-        let mut node_task_count = vec![0u32; n];
-        for (task, &node) in assignment.iter().enumerate() {
-            if node >= n {
-                return Err(ModelError::AssignmentOutOfRange {
-                    task,
-                    node,
-                    nodes: n,
-                });
-            }
-            node_weight[node] += system.tasks().weight(TaskId(task));
-            node_task_count[node] += 1;
-        }
+        let compact = assignment
+            .iter()
+            .enumerate()
+            .map(|(task, &node)| {
+                if node < n {
+                    // Lossless: `node < n`, and the compact assignment
+                    // assumes fewer than 2³² nodes.
+                    #[allow(clippy::cast_possible_truncation)]
+                    Ok(node as u32)
+                } else {
+                    Err(ModelError::AssignmentOutOfRange {
+                        task,
+                        node,
+                        nodes: n,
+                    })
+                }
+            })
+            .collect::<Result<Vec<u32>, _>>()?;
+        Self::from_node_indices(system, compact)
+    }
+
+    /// Builds a state from an assignment already in the compact form the
+    /// state stores (`assignment[ℓ]` is the node of task `ℓ`), taking the
+    /// vector as it is: no per-task copy is made.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError`] on length mismatch or out-of-range nodes.
+    pub fn from_node_indices(system: &System, assignment: Vec<u32>) -> Result<Self, ModelError> {
+        check_len(system, assignment.len())?;
+        let (node_weight, node_task_count) = aggregates(system, &assignment)?;
         Ok(TaskState {
-            // Lossless: every index was range-checked against `n` above,
-            // and node counts are capped at `u32::MAX` by `NodeId`.
-            #[allow(clippy::cast_possible_truncation)]
-            assignment: assignment.iter().map(|&v| v as u32).collect(),
+            assignment,
             node_weight,
             node_task_count,
             moves_since_rebuild: 0,
@@ -222,8 +264,11 @@ impl TaskState {
     /// Panics if `node` is out of range.
     pub fn all_on_node(system: &System, node: NodeId) -> Self {
         assert!(node.index() < system.node_count(), "node out of range");
-        let assignment = vec![node.index(); system.task_count()];
-        Self::from_assignment(system, &assignment).expect("constant assignment is valid")
+        // Lossless: range-checked above, and the compact assignment
+        // assumes fewer than 2³² nodes.
+        #[allow(clippy::cast_possible_truncation)]
+        let assignment = vec![node.index() as u32; system.task_count()];
+        Self::from_node_indices(system, assignment).expect("constant assignment is valid")
     }
 
     /// The node currently hosting `task`.
@@ -325,13 +370,8 @@ impl TaskState {
     /// Recomputes node aggregates from the assignment, clearing
     /// floating-point drift from incremental updates.
     pub fn rebuild_aggregates(&mut self, system: &System) {
-        let n = system.node_count();
-        let mut node_weight = vec![0.0f64; n];
-        let mut node_task_count = vec![0u32; n];
-        for (task, &node) in self.assignment.iter().enumerate() {
-            node_weight[node as usize] += system.tasks().weight(TaskId(task));
-            node_task_count[node as usize] += 1;
-        }
+        let (node_weight, node_task_count) =
+            aggregates(system, &self.assignment).expect("the assignment stays in range");
         self.node_weight = node_weight;
         self.node_task_count = node_task_count;
         self.moves_since_rebuild = 0;
@@ -465,6 +505,29 @@ mod tests {
                 ..
             })
         ));
+        assert!(matches!(
+            TaskState::from_node_indices(&s, vec![0, 1]),
+            Err(ModelError::AssignmentLengthMismatch { .. })
+        ));
+        assert!(matches!(
+            TaskState::from_node_indices(&s, vec![0, 0, 0, 0, 0, 3, 0, 0]),
+            Err(ModelError::AssignmentOutOfRange {
+                task: 5,
+                node: 3,
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn compact_assignment_builds_the_same_state() {
+        let s = small_system();
+        let wide = TaskState::from_assignment(&s, &[2, 0, 1, 1, 0, 2, 2, 0]).unwrap();
+        let compact = TaskState::from_node_indices(&s, vec![2, 0, 1, 1, 0, 2, 2, 0]).unwrap();
+        assert_eq!(wide, compact);
+        let mut rebuilt = compact.clone();
+        rebuilt.rebuild_aggregates(&s);
+        assert_eq!(rebuilt, compact);
     }
 
     #[test]

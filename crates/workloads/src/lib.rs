@@ -11,7 +11,8 @@
 //!   bounded power laws, bimodal mixes),
 //! * [`weight_classes`] — quantization of sampled weights into the small
 //!   class sets consumed by the count-based weighted engine
-//!   (`slb_core::engine::weighted_fast`),
+//!   (`slb_core::engine::weighted_fast`), and the streaming collapse of a
+//!   built scenario into its per-(node, class) counts,
 //! * [`speeds`] — machine-speed distributions, including the
 //!   integer-granularity families required by Theorem 1.2,
 //! * [`scenario`] — named presets bundling a topology, speeds, weights and

@@ -35,12 +35,36 @@ impl Placement {
     ///
     /// Panics if `AllOnNode(v)` has `v` out of range.
     pub fn assign<R: Rng + ?Sized>(self, system: &System, rng: &mut R) -> Vec<usize> {
+        let mut assignment = Vec::with_capacity(system.task_count());
+        self.place(system, rng, |v| assignment.push(v));
+        assignment
+    }
+
+    /// Generates the [`TaskState`] directly, building its compact
+    /// assignment with no `usize` copy in between. Draws the same random
+    /// numbers as [`Placement::assign`], so both give the same state.
+    ///
+    /// # Panics
+    ///
+    /// Panics as in [`Placement::assign`].
+    pub fn state<R: Rng + ?Sized>(self, system: &System, rng: &mut R) -> TaskState {
+        let mut assignment = Vec::with_capacity(system.task_count());
+        // Lossless: every node is `< n`, and the compact assignment
+        // assumes fewer than 2³² nodes.
+        #[allow(clippy::cast_possible_truncation)]
+        self.place(system, rng, |v| assignment.push(v as u32));
+        TaskState::from_node_indices(system, assignment)
+            .expect("generated assignments are always valid")
+    }
+
+    /// Hands the node of every task, in task order, to `put`.
+    fn place<R: Rng + ?Sized>(self, system: &System, rng: &mut R, mut put: impl FnMut(usize)) {
         let n = system.node_count();
         let m = system.task_count();
         match self {
             Placement::AllOnNode(v) => {
                 assert!(v < n, "placement node {v} out of range for {n} nodes");
-                vec![v; m]
+                (0..m).for_each(|_| put(v));
             }
             Placement::AllOnSlowest => {
                 let slowest = (0..n)
@@ -52,38 +76,26 @@ impl Placement {
                             .expect("speeds are finite")
                     })
                     .expect("at least one node");
-                vec![slowest; m]
+                (0..m).for_each(|_| put(slowest));
             }
-            Placement::UniformRandom => (0..m).map(|_| rng.gen_range(0..n)).collect(),
+            Placement::UniformRandom => (0..m).for_each(|_| put(rng.gen_range(0..n))),
             Placement::SpeedProportional => {
                 let total = system.speeds().total();
-                (0..m)
-                    .map(|_| {
-                        let mut x = rng.gen_range(0.0..total);
-                        for v in 0..n {
-                            let s = system.speeds().speed(v);
-                            if x < s {
-                                return v;
-                            }
-                            x -= s;
+                let mut draw = || {
+                    let mut x = rng.gen_range(0.0..total);
+                    for v in 0..n {
+                        let s = system.speeds().speed(v);
+                        if x < s {
+                            return v;
                         }
-                        n - 1
-                    })
-                    .collect()
+                        x -= s;
+                    }
+                    n - 1
+                };
+                (0..m).for_each(|_| put(draw()));
             }
-            Placement::RoundRobin => (0..m).map(|t| t % n).collect(),
+            Placement::RoundRobin => (0..m).for_each(|t| put(t % n)),
         }
-    }
-
-    /// Generates the [`TaskState`] directly.
-    ///
-    /// # Panics
-    ///
-    /// Panics as in [`Placement::assign`].
-    pub fn state<R: Rng + ?Sized>(self, system: &System, rng: &mut R) -> TaskState {
-        let assignment = self.assign(system, rng);
-        TaskState::from_assignment(system, &assignment)
-            .expect("generated assignments are always valid")
     }
 
     /// A short label for CSV output.
@@ -169,6 +181,32 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let a = Placement::RoundRobin.assign(&sys, &mut rng);
         assert_eq!(a, vec![0, 1, 2, 3, 0, 1, 2, 3, 0, 1]);
+    }
+
+    #[test]
+    fn state_equals_the_state_of_the_assignment() {
+        let sys = System::new(
+            generators::ring(6),
+            SpeedVector::new(vec![2.0, 1.0, 4.0, 1.0, 3.0, 1.0]).unwrap(),
+            TaskSet::weighted((1..=50).map(|i| f64::from(i) / 50.0).collect()).unwrap(),
+        )
+        .unwrap();
+        for placement in [
+            Placement::AllOnNode(4),
+            Placement::AllOnSlowest,
+            Placement::UniformRandom,
+            Placement::SpeedProportional,
+            Placement::RoundRobin,
+        ] {
+            let st = placement.state(&sys, &mut StdRng::seed_from_u64(7));
+            let assignment = placement.assign(&sys, &mut StdRng::seed_from_u64(7));
+            let expected = TaskState::from_assignment(&sys, &assignment).unwrap();
+            assert_eq!(st, expected, "{placement:?}");
+            let bits = |s: &TaskState| -> Vec<u64> {
+                s.node_weights().iter().map(|w| w.to_bits()).collect()
+            };
+            assert_eq!(bits(&st), bits(&expected), "{placement:?}");
+        }
     }
 
     #[test]

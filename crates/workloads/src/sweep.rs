@@ -622,6 +622,9 @@ pub fn parse_weights(token: &str) -> Result<WeightDistribution, SweepParseError>
             parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())
         };
         let (light, heavy, heavy_fraction) = (next()?, next()?, next()?);
+        if parts.next().is_some() {
+            return Err(bad());
+        }
         if !(light > 0.0 && light <= 1.0 && heavy > 0.0 && heavy <= 1.0) {
             return Err(SweepParseError::new(
                 "bimodal weights must lie in (0, 1]".into(),
@@ -1022,6 +1025,9 @@ mod tests {
             &["weights=power-law:1.2:1"],
             &["weights=bimodal:0:1:0.5"],
             &["weights=bimodal:0.1:1:1.5"],
+            &["weights=bimodal:0.25:1:0.2:junk"],
+            &["weights=bimodal:0.25:1:0.2:"],
+            &["weights=bimodal:0.25:1"],
             &["placement=везде"],
             &["tasks-per-node=0"],
             &["graph="],

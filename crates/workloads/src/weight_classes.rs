@@ -12,7 +12,22 @@
 //! aggregate weight is preserved to within half a bin width per task
 //! (`(hi − lo)/(2·max_classes)`), and the engine's `Ψ₀`/equilibrium
 //! predicates are evaluated against the quantized weights.
+//!
+//! Class discovery is a single pass over the weights: it keeps a sorted
+//! buffer of at most `max_classes + 1` distinct values plus the running
+//! minimum and maximum. A buffer that never overflows is the lossless
+//! class set; one that does means the quantized branch, whose bins need
+//! only the extremes. Both results are exactly what sorting and
+//! deduplicating the whole sample would give, without copying or sorting
+//! it.
+//!
+//! [`class_state_of`] is the collapse the sweep and validate runners use:
+//! discovery, then a second pass that counts every task straight into the
+//! flat node-major vector a [`ClassCountState`] stores, so no per-task
+//! array is built on the way.
 
+use crate::BuiltScenario;
+use slb_core::engine::weighted_fast::ClassCountState;
 use slb_core::model::TaskSet;
 
 /// A small, sorted set of weight classes with a total map from sampled
@@ -43,18 +58,33 @@ impl WeightClasses {
     /// Panics if `samples` is empty, `max_classes == 0`, or any sample
     /// lies outside `(0, 1]`.
     pub fn from_samples(samples: &[f64], max_classes: usize) -> Self {
-        assert!(!samples.is_empty(), "need at least one sampled weight");
+        Self::discover(samples.iter().copied(), max_classes)
+    }
+
+    /// [`WeightClasses::from_samples`] over any stream of weights, in one
+    /// pass and without a copy.
+    fn discover(samples: impl IntoIterator<Item = f64>, max_classes: usize) -> Self {
         assert!(max_classes > 0, "need at least one class");
-        assert!(
-            samples
-                .iter()
-                .all(|&w| w > 0.0 && w <= 1.0 && w.is_finite()),
-            "sampled weights must lie in (0, 1]"
-        );
-        let mut distinct = samples.to_vec();
-        distinct.sort_by(|a, b| a.partial_cmp(b).expect("finite weights"));
-        distinct.dedup();
-        let (lo, hi) = (distinct[0], *distinct.last().expect("nonempty"));
+        // Ascending and distinct; one value past the budget is enough to
+        // know the sample must be quantized.
+        let mut distinct: Vec<f64> = Vec::with_capacity(max_classes + 1);
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        for w in samples {
+            assert!(
+                w > 0.0 && w <= 1.0 && w.is_finite(),
+                "sampled weights must lie in (0, 1]"
+            );
+            lo = lo.min(w);
+            hi = hi.max(w);
+            if distinct.len() <= max_classes {
+                if let Err(i) =
+                    distinct.binary_search_by(|c| c.partial_cmp(&w).expect("finite weights"))
+                {
+                    distinct.insert(i, w);
+                }
+            }
+        }
+        assert!(!distinct.is_empty(), "need at least one sampled weight");
         if distinct.len() <= max_classes {
             return WeightClasses {
                 weights: distinct,
@@ -149,12 +179,60 @@ impl WeightClasses {
             task_nodes.len(),
             "one node per task weight"
         );
-        let mut counts = vec![vec![0u64; self.len()]; nodes];
-        for (&w, &v) in task_weights.iter().zip(task_nodes) {
+        let tasks = task_weights.iter().copied().zip(task_nodes.iter().copied());
+        self.count(tasks, nodes)
+            .chunks(self.len())
+            .map(<[u64]>::to_vec)
+            .collect()
+    }
+
+    /// Flat node-major per-(node, class) counts (`counts[node * k + class]`)
+    /// of `(weight, node)` pairs.
+    fn count(&self, tasks: impl IntoIterator<Item = (f64, usize)>, nodes: usize) -> Vec<u64> {
+        let k = self.len();
+        let mut counts = vec![0u64; nodes * k];
+        for (w, v) in tasks {
             assert!(v < nodes, "task node {v} out of range");
-            counts[v][self.class_of(w)] += 1;
+            counts[v * k + self.class_of(w)] += 1;
         }
         counts
+    }
+
+    /// Checks that flat counts hold every task of `tasks` and, up to the
+    /// quantization, its total weight: exactly `m` tasks, and a class-level
+    /// weight within `1e-9` relative of `W` when lossless, within half a
+    /// bin width per task (plus the same rounding slack) when quantized.
+    /// `O(n·k)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either is not conserved.
+    fn assert_conserves(&self, counts: &[u64], tasks: &TaskSet) {
+        let k = self.len();
+        let mut per_class = vec![0u64; k];
+        for row in counts.chunks(k) {
+            for (total, &c) in per_class.iter_mut().zip(row) {
+                *total += c;
+            }
+        }
+        let m: u64 = per_class.iter().sum();
+        assert_eq!(m, tasks.len() as u64, "the collapse must keep every task");
+        let weight: f64 = per_class
+            .iter()
+            .zip(&self.weights)
+            .map(|(&c, &w)| c as f64 * w)
+            .sum();
+        let total = tasks.total_weight();
+        let slack = 1e-9 * total;
+        let bound = if self.exact {
+            slack
+        } else {
+            m as f64 * (self.hi - self.lo) / (2 * k) as f64 + slack
+        };
+        assert!(
+            (weight - total).abs() <= bound,
+            "the collapse must keep the total weight: {weight} vs {total} (bound {bound})"
+        );
     }
 
     /// The quantized per-task weights as a [`TaskSet`] — what the fast
@@ -173,12 +251,262 @@ impl WeightClasses {
     }
 }
 
+/// Collapses a built scenario's per-task weights and placement into the
+/// weight-class count state of the count-based engines (lossless for
+/// finite-support weight distributions, quantized to at most
+/// [`WeightClasses::DEFAULT_MAX_CLASSES`] classes for continuous ones —
+/// the engines' documented approximation).
+///
+/// Two streaming passes over the tasks: class discovery, then counting
+/// straight into the node-major vector the state keeps. Task count and
+/// total weight are checked before the state is returned, in every build.
+///
+/// # Panics
+///
+/// Panics if the collapse loses a task or, beyond the quantization
+/// bound, any weight.
+pub fn class_state_of(built: &BuiltScenario) -> ClassCountState {
+    let system = &built.system;
+    let tasks = system.tasks();
+    let classes = WeightClasses::discover(
+        tasks.iter().map(|(_, w)| w),
+        WeightClasses::DEFAULT_MAX_CLASSES,
+    );
+    let placed = tasks
+        .iter()
+        .map(|(t, w)| (w, built.initial.task_node(t).index()));
+    let counts = classes.count(placed, system.node_count());
+    classes.assert_conserves(&counts, tasks);
+    ClassCountState::from_node_major(classes.weights, counts)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::placement::Placement;
+    use crate::scenario;
+    use crate::speeds::SpeedDistribution;
     use crate::weights::WeightDistribution;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+    use slb_graphs::generators;
+
+    /// The class discovery this module used before the single pass: copy
+    /// every sample, sort, deduplicate. Kept as the reference the
+    /// streaming discovery must reproduce bit for bit.
+    fn oracle_from_samples(samples: &[f64], max_classes: usize) -> WeightClasses {
+        let mut distinct = samples.to_vec();
+        distinct.sort_by(|a, b| a.partial_cmp(b).expect("finite weights"));
+        distinct.dedup();
+        let (lo, hi) = (distinct[0], *distinct.last().expect("nonempty"));
+        if distinct.len() <= max_classes {
+            return WeightClasses {
+                weights: distinct,
+                exact: true,
+                lo,
+                hi,
+            };
+        }
+        let k = max_classes;
+        let width = (hi - lo) / k as f64;
+        let weights = (0..k)
+            .map(|c| (lo + (c as f64 + 0.5) * width).min(1.0))
+            .collect();
+        WeightClasses {
+            weights,
+            exact: false,
+            lo,
+            hi,
+        }
+    }
+
+    /// The per-task scatter into one row per node this module used
+    /// before the flat count, kept as a reference.
+    fn oracle_node_class_counts(
+        classes: &WeightClasses,
+        task_weights: &[f64],
+        task_nodes: &[usize],
+        nodes: usize,
+    ) -> Vec<Vec<u64>> {
+        let mut counts = vec![vec![0u64; classes.len()]; nodes];
+        for (&w, &v) in task_weights.iter().zip(task_nodes) {
+            counts[v][classes.class_of(w)] += 1;
+        }
+        counts
+    }
+
+    /// Every field of a class set as bits, so equality is bitwise.
+    fn bits(classes: &WeightClasses) -> (Vec<u64>, bool, u64, u64) {
+        (
+            classes.weights.iter().map(|w| w.to_bits()).collect(),
+            classes.exact,
+            classes.lo.to_bits(),
+            classes.hi.to_bits(),
+        )
+    }
+
+    /// A weight in `(0, 1]`.
+    fn weight(rng: &mut StdRng) -> f64 {
+        1.0 - rng.gen_range(0.0..1.0)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Single-pass discovery equals sort + dedup on samples with 1 to
+        /// 20 distinct values (so exactly `k` and `k + 1` distinct values
+        /// for every budget `k`), at every budget in `1..=16`, and on
+        /// continuous samples.
+        #[test]
+        fn discovery_matches_sort_and_dedup(seed in 0u64..u64::MAX, repeats in 0usize..60) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for distinct in 1..=20usize {
+                let mut pool: Vec<f64> = Vec::new();
+                while pool.len() < distinct {
+                    // Coarse values half the time, so neighbours sit close.
+                    let w = if rng.gen_bool(0.5) {
+                        f64::from(rng.gen_range(1u32..=64)) / 64.0
+                    } else {
+                        weight(&mut rng)
+                    };
+                    if !pool.contains(&w) {
+                        pool.push(w);
+                    }
+                }
+                let mut samples = pool.clone();
+                samples.extend((0..repeats).map(|_| pool[rng.gen_range(0..distinct)]));
+                for i in (1..samples.len()).rev() {
+                    samples.swap(i, rng.gen_range(0..=i));
+                }
+                for max_classes in 1..=16 {
+                    let classes = WeightClasses::from_samples(&samples, max_classes);
+                    prop_assert_eq!(bits(&classes), bits(&oracle_from_samples(&samples, max_classes)));
+                    prop_assert_eq!(classes.is_exact(), distinct <= max_classes);
+                }
+            }
+            let continuous: Vec<f64> = (0..1 + 4 * repeats).map(|_| weight(&mut rng)).collect();
+            for max_classes in 1..=16 {
+                prop_assert_eq!(
+                    bits(&WeightClasses::discover(continuous.iter().copied(), max_classes)),
+                    bits(&oracle_from_samples(&continuous, max_classes))
+                );
+            }
+        }
+    }
+
+    /// The streaming collapse equals the old per-task path — sort + dedup
+    /// classes, one row per node, then [`ClassCountState::new`] — for
+    /// every weight distribution and placement.
+    #[test]
+    fn collapse_matches_per_task_path() {
+        let weight_dists = [
+            WeightDistribution::Unit,
+            WeightDistribution::UniformRange { lo: 0.2, hi: 0.9 },
+            WeightDistribution::BoundedPowerLaw {
+                alpha: 1.2,
+                min: 0.05,
+            },
+            WeightDistribution::Bimodal {
+                light: 0.25,
+                heavy: 1.0,
+                heavy_fraction: 0.2,
+            },
+        ];
+        let placements = [
+            Placement::AllOnNode(3),
+            Placement::AllOnSlowest,
+            Placement::UniformRandom,
+            Placement::SpeedProportional,
+            Placement::RoundRobin,
+        ];
+        for (i, &weights) in weight_dists.iter().enumerate() {
+            for (j, &placement) in placements.iter().enumerate() {
+                let mut rng = StdRng::seed_from_u64((10 * i + j) as u64);
+                let speeds = SpeedDistribution::TwoClass {
+                    fast: 4,
+                    fast_fraction: 0.25,
+                };
+                let built = scenario::build(
+                    generators::torus(4, 5),
+                    speeds,
+                    weights,
+                    placement,
+                    24,
+                    &mut rng,
+                )
+                .unwrap();
+                let system = &built.system;
+                let task_weights: Vec<f64> = system.tasks().iter().map(|(_, w)| w).collect();
+                let task_nodes: Vec<usize> = system
+                    .tasks()
+                    .iter()
+                    .map(|(t, _)| built.initial.task_node(t).index())
+                    .collect();
+                let classes =
+                    oracle_from_samples(&task_weights, WeightClasses::DEFAULT_MAX_CLASSES);
+                let counts = oracle_node_class_counts(
+                    &classes,
+                    &task_weights,
+                    &task_nodes,
+                    system.node_count(),
+                );
+                let expected = ClassCountState::new(classes.weights().to_vec(), counts);
+                let state = class_state_of(&built);
+                assert_eq!(state, expected, "{weights:?} × {placement:?}");
+                let class_bits = |s: &ClassCountState| -> Vec<u64> {
+                    s.class_weights().iter().map(|w| w.to_bits()).collect()
+                };
+                assert_eq!(class_bits(&state), class_bits(&expected));
+                // The public wrapper gives the same rows.
+                assert_eq!(
+                    WeightClasses::from_samples(&task_weights, WeightClasses::DEFAULT_MAX_CLASSES)
+                        .node_class_counts(&task_weights, &task_nodes, system.node_count()),
+                    oracle_node_class_counts(
+                        &classes,
+                        &task_weights,
+                        &task_nodes,
+                        system.node_count()
+                    )
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn conservation_holds_on_collapsed_counts() {
+        let tasks = TaskSet::weighted(vec![0.25, 1.0, 0.25, 1.0]).unwrap();
+        let classes = WeightClasses::from_samples(&[0.25, 1.0], 4);
+        classes.assert_conserves(&[1, 1, 0, 1, 1, 0], &tasks);
+        // Quantized: each task may move half a bin width.
+        let weights: Vec<f64> = (1..=20).map(|i| f64::from(i) / 20.0).collect();
+        let tasks = TaskSet::weighted(weights.clone()).unwrap();
+        let classes = WeightClasses::from_samples(&weights, 4);
+        let counts = classes.count(weights.iter().map(|&w| (w, 0)), 1);
+        classes.assert_conserves(&counts, &tasks);
+    }
+
+    #[test]
+    #[should_panic(expected = "the collapse must keep every task")]
+    fn conservation_catches_a_lost_task() {
+        let tasks = TaskSet::weighted(vec![0.25, 1.0, 0.25, 1.0]).unwrap();
+        let classes = WeightClasses::from_samples(&[0.25, 1.0], 4);
+        classes.assert_conserves(&[1, 1, 0, 1, 0, 0], &tasks);
+    }
+
+    #[test]
+    #[should_panic(expected = "the collapse must keep the total weight")]
+    fn conservation_catches_a_task_in_the_wrong_class() {
+        let tasks = TaskSet::weighted(vec![0.25, 1.0, 0.25, 1.0]).unwrap();
+        let classes = WeightClasses::from_samples(&[0.25, 1.0], 4);
+        classes.assert_conserves(&[2, 0, 0, 1, 1, 0], &tasks);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one sampled weight")]
+    fn rejects_no_samples() {
+        let _ = WeightClasses::discover(std::iter::empty(), 4);
+    }
 
     #[test]
     fn finite_support_is_lossless() {

@@ -175,18 +175,6 @@ pub struct Move {
 /// node weights are recomputed from scratch to shed floating-point error.
 const REBUILD_INTERVAL: usize = 1 << 22;
 
-/// Rejects an assignment whose length is not the task count.
-fn check_len(system: &System, len: usize) -> Result<(), ModelError> {
-    if len == system.task_count() {
-        Ok(())
-    } else {
-        Err(ModelError::AssignmentLengthMismatch {
-            tasks: system.task_count(),
-            assignment: len,
-        })
-    }
-}
-
 /// Node weights and task counts of an assignment, summed in task order.
 fn aggregates(system: &System, assignment: &[u32]) -> Result<(Vec<f64>, Vec<u32>), ModelError> {
     let n = system.node_count();
@@ -215,7 +203,6 @@ impl TaskState {
     ///
     /// Returns [`ModelError`] on length mismatch or out-of-range nodes.
     pub fn from_assignment(system: &System, assignment: &[usize]) -> Result<Self, ModelError> {
-        check_len(system, assignment.len())?;
         let n = system.node_count();
         let compact = assignment
             .iter()
@@ -246,7 +233,12 @@ impl TaskState {
     ///
     /// Returns [`ModelError`] on length mismatch or out-of-range nodes.
     pub fn from_node_indices(system: &System, assignment: Vec<u32>) -> Result<Self, ModelError> {
-        check_len(system, assignment.len())?;
+        if assignment.len() != system.task_count() {
+            return Err(ModelError::AssignmentLengthMismatch {
+                tasks: system.task_count(),
+                assignment: assignment.len(),
+            });
+        }
         let (node_weight, node_task_count) = aggregates(system, &assignment)?;
         Ok(TaskState {
             assignment,
